@@ -30,21 +30,19 @@ const benchInstructions = 30000
 // snapshot with cmd/benchgate (see the README's Performance section);
 // refresh the committed baseline with:
 //
-//	go test -bench 'BenchmarkSim$|BenchmarkSweepRunner$|BenchmarkLockstep$' -benchtime 10x -run '^$' -benchjson BENCH_sim.json .
+//	go test -bench 'BenchmarkSim$|BenchmarkSweepRunner$' -benchtime 10x -run '^$' -benchjson BENCH_sim.json .
 var benchJSON = flag.String("benchjson", "", "write a JSON snapshot of BenchmarkSim results to this path")
 
 // benchSnapshot is the BENCH_sim.json schema. Cache, when present,
 // carries the sweep-cache hit/miss counts recorded by
-// BenchmarkSweepRunner; LockstepWidth is the batch width BenchmarkLockstep
-// drove through one shared front-end pass. cmd/benchgate passes both
-// through into its verdict JSON.
+// BenchmarkSweepRunner; cmd/benchgate passes it through into its verdict
+// JSON.
 type benchSnapshot struct {
-	Schema        int                    `json:"schema"`
-	Go            string                 `json:"go"`
-	Instrs        uint64                 `json:"instructions_per_run"`
-	Benchmarks    map[string]benchRecord `json:"benchmarks"`
-	Cache         *sweep.CacheStats      `json:"cache,omitempty"`
-	LockstepWidth int                    `json:"lockstep_width,omitempty"`
+	Schema     int                    `json:"schema"`
+	Go         string                 `json:"go"`
+	Instrs     uint64                 `json:"instructions_per_run"`
+	Benchmarks map[string]benchRecord `json:"benchmarks"`
+	Cache      *sweep.CacheStats      `json:"cache,omitempty"`
 }
 
 // benchRecord is one benchmark's measurement.
@@ -54,10 +52,9 @@ type benchRecord struct {
 }
 
 var (
-	benchMu       sync.Mutex
-	benchRecords  = map[string]benchRecord{}
-	benchCache    *sweep.CacheStats
-	lockstepWidth int
+	benchMu      sync.Mutex
+	benchRecords = map[string]benchRecord{}
+	benchCache   *sweep.CacheStats
 )
 
 func recordBench(name string, instrsPerSec, secPerOp float64) {
@@ -72,12 +69,6 @@ func recordCache(stats sweep.CacheStats) {
 	benchCache = &stats
 }
 
-func recordLockstepWidth(w int) {
-	benchMu.Lock()
-	defer benchMu.Unlock()
-	lockstepWidth = w
-}
-
 // TestMain writes the benchmark snapshot once the run completes.
 func TestMain(m *testing.M) {
 	code := m.Run()
@@ -85,7 +76,7 @@ func TestMain(m *testing.M) {
 		snap := benchSnapshot{
 			Schema: 1, Go: runtime.Version(),
 			Instrs: benchInstructions, Benchmarks: benchRecords,
-			Cache: benchCache, LockstepWidth: lockstepWidth,
+			Cache: benchCache,
 		}
 		data, err := json.MarshalIndent(snap, "", "  ")
 		if err == nil {
@@ -172,54 +163,6 @@ func BenchmarkSweepRunner(b *testing.B) {
 	ips := simulated / sec
 	b.ReportMetric(ips, "instrs/s")
 	recordBench("SweepRunner", ips, sec/float64(b.N))
-}
-
-// BenchmarkLockstep measures the lockstep engine: all six built-in
-// register file families simulating one benchmark, solo (six trace
-// passes) versus batched behind one shared front-end pass. Both
-// sub-benchmarks report aggregate throughput (simulated instructions
-// across all six configurations per wall second), so the batch/solo
-// ratio is the lockstep speedup directly.
-func BenchmarkLockstep(b *testing.B) {
-	u := core.Unlimited
-	specs := []sim.RFSpec{
-		sim.Mono1Cycle(u, u),
-		sim.Mono2CycleFull(u, u),
-		sim.Mono2CycleSingle(6, 4),
-		sim.PaperCache(),
-		sim.OneLevelSpec(core.OneLevelConfig{Banks: 2, ReadPortsPerBank: 4, WritePortsPerBank: 2}),
-		sim.ReplicatedSpec(core.ReplicatedConfig{Clusters: 2, ReadPortsPerBank: 4, WritePortsPerBank: 4, RemoteDelay: 1}),
-	}
-	prof, ok := trace.ByName("compress")
-	if !ok {
-		b.Fatal("unknown benchmark compress")
-	}
-	cfgs := make([]sim.Config, len(specs))
-	for i, spec := range specs {
-		cfgs[i] = sim.DefaultConfig(spec, benchInstructions)
-	}
-	aggregate := float64(benchInstructions) * float64(len(cfgs))
-	run := func(b *testing.B, name string, pass func()) {
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				pass()
-			}
-			sec := b.Elapsed().Seconds()
-			ips := aggregate * float64(b.N) / sec
-			b.ReportMetric(ips, "instrs/s")
-			recordBench("Lockstep/"+name, ips, sec/float64(b.N))
-		})
-	}
-	run(b, "solo", func() {
-		for i := range cfgs {
-			sim.New(cfgs[i], trace.New(prof)).Run()
-		}
-	})
-	run(b, "batch6", func() {
-		sim.NewLockstep(cfgs, trace.New(prof)).Run()
-	})
-	recordLockstepWidth(len(cfgs))
 }
 
 func benchOpts() experiments.Options {

@@ -48,9 +48,6 @@ type snapshot struct {
 	Instrs     uint64            `json:"instructions_per_run"`
 	Benchmarks map[string]record `json:"benchmarks"`
 	Cache      *cacheCounts      `json:"cache,omitempty"`
-	// LockstepWidth is the batch width the harness's lockstep benchmark
-	// drove through one shared front-end pass (0: snapshot predates it).
-	LockstepWidth int `json:"lockstep_width,omitempty"`
 }
 
 type record struct {
@@ -75,12 +72,6 @@ type verdict struct {
 		Baseline *cacheCounts `json:"baseline,omitempty"`
 		Current  *cacheCounts `json:"current,omitempty"`
 	} `json:"cache"`
-	// Lockstep carries each snapshot's lockstep batch width, when the
-	// harness recorded one (0: snapshot predates the lockstep benchmark).
-	Lockstep struct {
-		BaselineWidth int `json:"baseline_width,omitempty"`
-		CurrentWidth  int `json:"current_width,omitempty"`
-	} `json:"lockstep"`
 }
 
 type comparison struct {
@@ -185,8 +176,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	v.Cache.Baseline = base.Cache
 	v.Cache.Current = cur.Cache
-	v.Lockstep.BaselineWidth = base.LockstepWidth
-	v.Lockstep.CurrentWidth = cur.LockstepWidth
 	v.Benchmarks = make(map[string]comparison)
 
 	names := make([]string, 0, len(base.Benchmarks))
@@ -229,9 +218,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if cc := cur.Cache; cc != nil {
 		fmt.Fprintf(human, "cache               %d hits / %d misses in the current snapshot's sweep benchmark\n", cc.Hits, cc.Misses)
 	}
-	if cur.LockstepWidth > 0 {
-		fmt.Fprintf(human, "lockstep            batch width %d in the current snapshot's lockstep benchmark\n", cur.LockstepWidth)
-	}
 
 	v.Status = "ok"
 	if failed {
@@ -243,7 +229,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if failed {
 		fmt.Fprintf(human, "\nbenchgate: throughput regressed more than %.0f%% vs %s\n", 100**tolerance, *baseline)
 		fmt.Fprintln(human, "If the regression is intended, refresh the baseline:")
-		fmt.Fprintln(human, "  go test -bench 'BenchmarkSim$|BenchmarkSweepRunner$|BenchmarkLockstep$' -benchtime 10x -run '^$' -benchjson BENCH_sim.json .")
+		fmt.Fprintln(human, "  go test -bench 'BenchmarkSim$|BenchmarkSweepRunner$' -benchtime 10x -run '^$' -benchjson BENCH_sim.json .")
 		return 1
 	}
 	return 0

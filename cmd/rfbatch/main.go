@@ -5,7 +5,7 @@
 // Usage:
 //
 //	rfbatch -spec sweep.json [-n instructions] [-p parallelism]
-//	        [-lockstep width] [-csv | -ndjson]
+//	        [-csv | -ndjson]
 //	        [-store dir [-store-max-mb n]]
 //	        [-store-remote url,... [-store-shards n]] [-v]
 //	rfbatch -spec sweep.json -remote http://coordinator:8090 [-api-key k]
@@ -35,13 +35,6 @@
 // can be checked against a local re-aggregation at any time. -table
 // renders a series result as the benchmark × architecture IPC grid of
 // the paper's figures.
-//
-// Jobs that share a workload (benchmark, budget, seed) run in lockstep by
-// default: one trace pass drives up to 16 register file configurations at
-// once, which removes the per-configuration trace generation and branch
-// prediction work without changing a single output byte. -lockstep caps
-// the batch width; -lockstep 1 restores the sequential one-trace-per-run
-// path.
 //
 // The report (one row per run, plus cache hit/miss totals) is written to
 // stdout as JSON, as CSV with -csv, or as NDJSON (one row per line, the
@@ -113,7 +106,6 @@ func main() {
 		specPath   = flag.String("spec", "", "JSON sweep specification (required; see -example)")
 		n          = flag.Uint64("n", 0, "override the spec's per-run instruction budget")
 		par        = flag.Int("p", 0, "override the spec's parallelism bound")
-		lockstep   = flag.Int("lockstep", 0, "lockstep batch width: 0 groups up to 16 same-workload configurations per trace pass, 1 disables grouping, n caps batches at n (results are identical either way)")
 		asCSV      = flag.Bool("csv", false, "emit CSV instead of JSON")
 		asNDJSON   = flag.Bool("ndjson", false, "emit NDJSON rows (the rfserved stream format) instead of JSON")
 		storeDir   = flag.String("store", "", "persist results in this disk-backed store directory; repeated runs resume instead of recomputing")
@@ -207,7 +199,7 @@ func main() {
 		fatal(err)
 	}
 
-	cfg := rf.RunnerConfig{Parallelism: spec.Parallelism, Lockstep: *lockstep}
+	cfg := rf.RunnerConfig{Parallelism: spec.Parallelism}
 	var st *store.Store
 	if *storeDir != "" {
 		st, err = store.Open(*storeDir, store.Options{MaxBytes: *storeMaxMB << 20})

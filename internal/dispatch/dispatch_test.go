@@ -806,17 +806,22 @@ func TestPriorityOrdering(t *testing.T) {
 	}
 }
 
-// TestWorkerLockstepBatches pins the worker batch seam: with a
-// SimulateBatch hook, every batch a worker executes holds same-workload
-// jobs only, every leased job reaches the hook exactly once, and the
-// stream stays byte-identical to a single-node run.
-func TestWorkerLockstepBatches(t *testing.T) {
+// TestWorkerSimulatesEveryJob pins the worker's single execution path:
+// with both Simulate and the deprecated SimulateBatch set, every leased
+// job reaches Simulate exactly once, the batch hook is never called, and
+// the stream stays byte-identical to a single-node run.
+func TestWorkerSimulatesEveryJob(t *testing.T) {
 	var mu sync.Mutex
-	var batches [][]sweep.Job
-	batch := func(js []sweep.Job) []sim.Result {
+	seen := make(map[sweep.Key]int)
+	simulate := func(j sweep.Job) sim.Result {
 		mu.Lock()
-		batches = append(batches, js)
+		seen[j.Key()]++
 		mu.Unlock()
+		return fakeSim(j)
+	}
+	var batches atomic.Int64
+	batch := func(js []sweep.Job) []sim.Result {
+		batches.Add(1)
 		res := make([]sim.Result, len(js))
 		for i, j := range js {
 			res[i] = fakeSim(j)
@@ -835,8 +840,9 @@ func TestWorkerLockstepBatches(t *testing.T) {
 	go func() {
 		done <- dispatch.RunWorker(ctx, dispatch.WorkerConfig{
 			Coordinator:   f.ts.URL,
-			Name:          "batcher",
+			Name:          "single",
 			Capacity:      6,
+			Simulate:      simulate,
 			SimulateBatch: batch,
 		})
 	}()
@@ -844,21 +850,20 @@ func TestWorkerLockstepBatches(t *testing.T) {
 	got := f.streamAll(ack.ResultsURL)
 	want := singleNodeNDJSON(t, testSpec, fakeSim)
 	if got != want {
-		t.Errorf("batched fleet stream differs from single-node output:\n--- fleet ---\n%s--- single ---\n%s", got, want)
+		t.Errorf("fleet stream differs from single-node output:\n--- fleet ---\n%s--- single ---\n%s", got, want)
+	}
+	if n := batches.Load(); n != 0 {
+		t.Errorf("deprecated batch hook called %d times, want 0", n)
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	total := 0
-	for _, js := range batches {
-		total += len(js)
-		for _, j := range js[1:] {
-			if j.Profile != js[0].Profile {
-				t.Errorf("batch mixes workloads: %s and %s", js[0].Profile.Name, j.Profile.Name)
-			}
-		}
+	if len(seen) != 6 {
+		t.Errorf("Simulate saw %d distinct jobs, want 6", len(seen))
 	}
-	if total != 6 {
-		t.Errorf("batches covered %d jobs, want 6", total)
+	for k, n := range seen {
+		if n != 1 {
+			t.Errorf("job %s reached Simulate %d times, want 1", k, n)
+		}
 	}
 	if st := f.coord.Stats(); st.Completed != 6 || st.Fallbacks != 0 {
 		t.Errorf("coordinator stats = %+v, want 6 remote completions and no fallbacks", st)

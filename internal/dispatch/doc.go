@@ -26,14 +26,10 @@
 // submitted concurrently (across sweeps) share one task, so the fleet
 // simulates each configuration at most once.
 //
-// Leases are granted per job, but execution on the worker side batches:
-// RunWorker groups each poll's assignments by workload
-// (sweep.LockstepGroups) and runs every same-workload group through one
-// WorkerConfig.SimulateBatch call — by default a lockstep pass that
-// drives all of the group's register file configurations off one shared
-// trace front-end. Results are still reported per task, so the
-// coordinator's lease/requeue machinery is oblivious to batching, and
-// the stream stays byte-identical either way.
+// Leases, execution and reports are all per job: RunWorker runs each
+// leased assignment through WorkerConfig.Simulate on its own goroutine,
+// within the granted capacity, and reports each result against its
+// task.
 //
 // See docs/ARCHITECTURE.md for the protocol walkthrough and failure
 // matrix.

@@ -8,7 +8,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // countingCache wraps a Cache and counts operations.
@@ -255,5 +257,36 @@ func TestCancelBeforeStart(t *testing.T) {
 	}
 	if !outs[0].Cached || outs[0].Result.Cycles != 3 {
 		t.Error("cache hit not served under a canceled context")
+	}
+}
+
+// TestCancelStopsDefaultSimulation pins prompt cancellation on the
+// default simulation path: once the first job reports and the batch is
+// canceled, only jobs already simulating may finish, so at most
+// parallelism+1 results reach the cache even when every job shares one
+// workload.
+func TestCancelStopsDefaultSimulation(t *testing.T) {
+	p, ok := trace.ByName("compress")
+	if !ok {
+		t.Fatal("unknown benchmark compress")
+	}
+	jobs := make([]Job, 24)
+	for i := range jobs {
+		jobs[i] = Job{
+			Profile: p,
+			Config:  sim.DefaultConfig(sim.Mono1Cycle(core.Unlimited, core.Unlimited), uint64(2000+100*i)),
+		}
+	}
+	const parallelism = 2
+	cache := &countingCache{Cache: NewMemCache()}
+	r := NewRunner(RunnerConfig{Cache: cache})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, err := r.RunOutcomesContext(ctx, jobs, parallelism, func(Progress) { cancel() })
+	if err != context.Canceled {
+		t.Fatalf("canceled run returned err %v", err)
+	}
+	if n := cache.puts.Load(); n > parallelism+1 {
+		t.Errorf("%d results cached after cancel, want at most %d", n, parallelism+1)
 	}
 }

@@ -84,3 +84,16 @@ func (j Job) profile() trace.Profile {
 func Simulate(j Job) sim.Result {
 	return sim.New(j.Config, trace.New(j.profile())).Run()
 }
+
+// SimulateLockstep runs each job through Simulate and returns the
+// results in job order.
+//
+// Deprecated: every job simulates on its own; call Simulate per job.
+// This loop remains for callers built against the former batch API.
+func SimulateLockstep(jobs []Job) []sim.Result {
+	res := make([]sim.Result, len(jobs))
+	for i, j := range jobs {
+		res[i] = Simulate(j)
+	}
+	return res
+}

@@ -19,9 +19,7 @@
 //   - FairQueue — a slot pool that orders waiting tenants by (priority
 //     tier, fewest slots already held), so a light tenant's small sweep
 //     is never parked behind a heavy tenant's monster sweep. A slot is
-//     one thread of simulation: a lockstep batch (several configurations
-//     behind one shared trace pass) occupies a single slot, the same as
-//     one sequential job.
+//     one thread of simulation: one job holds one slot.
 //   - Admission — the per-request metadata (tenant name, priority)
 //     carried through contexts from the HTTP layer down to the
 //     scheduler and the fleet queue.

@@ -76,16 +76,3 @@ func ReadRows(r io.Reader) ([]Row, error) { return sweep.ReadRows(r) }
 // Simulate runs one job to completion (the Runner's default execution
 // hook).
 func Simulate(j Job) Result { return sweep.Simulate(j) }
-
-// SimulateLockstep runs a batch of jobs sharing one workload through a
-// single lockstep front-end pass (the Runner's default batch hook);
-// results are bit-identical to simulating each job alone.
-func SimulateLockstep(jobs []Job) []Result { return sweep.SimulateLockstep(jobs) }
-
-// LockstepGroups partitions jobs into lockstep batches of at most width
-// same-workload jobs (width ≤ 0: unbounded), returning index groups.
-func LockstepGroups(jobs []Job, width int) [][]int { return sweep.LockstepGroups(jobs, width) }
-
-// DefaultLockstepWidth is the batch width cap used when
-// RunnerConfig.Lockstep is 0.
-const DefaultLockstepWidth = sweep.DefaultLockstepWidth
