@@ -84,7 +84,7 @@
 // with the process.
 //
 // The server shuts down gracefully on SIGINT/SIGTERM: it stops accepting
-// sweeps, cancels running ones, flushes the store index, and exits. See
+// sweeps, cancels running ones, drains store replication, and exits. See
 // the README's "rfserved service" section for the full API.
 package main
 
@@ -365,7 +365,8 @@ func main() {
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		fmt.Fprintf(os.Stderr, "rfserved: http shutdown: %v\n", err)
 	}
-	// Tier replication drains before the local store flushes its index.
+	// Tier replication drains before the local store reports its write
+	// errors.
 	if tiers != nil {
 		tiers.Close()
 	}

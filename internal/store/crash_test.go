@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/sweep"
 )
 
 // These tests simulate a writer killed at precise points inside the
@@ -120,26 +121,32 @@ func TestCrashTearsObjectFile(t *testing.T) {
 	}
 }
 
-// TestCrashBeforeIndexRename kills the writer after the object file is
-// committed but before the refreshed index lands: the object exists, the
-// index has never heard of it. Reopen must adopt the orphan and serve it.
-func TestCrashBeforeIndexRename(t *testing.T) {
+// TestHitRecencySurvivesCrash pins that a Get hit's recency is on disk
+// as soon as the hit returns: the store is abandoned without Close, and
+// the reopened store still evicts the entry the hit did not touch.
+func TestHitRecencySurvivesCrash(t *testing.T) {
+	res := sim.Result{Cycles: 1}
+	size := entrySize(t, res)
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{})
-	s.Put(key(0), sim.Result{Cycles: 10})
-
-	s.SetRenameHook(crashingRename("index.json"))
-	s.Put(key(1), sim.Result{Cycles: 11})
-
-	re := mustOpen(t, dir, Options{})
-	for i, want := range []uint64{10, 11} {
-		res, ok := re.Get(key(i))
-		if !ok || res.Cycles != want {
-			t.Errorf("entry %d lost to a stale index: ok=%v res=%+v", i, ok, res)
-		}
+	opts := Options{MaxBytes: 3*size + size/2} // room for three entries
+	a, b, c, d := key(0), key(1), key(2), key(3)
+	s := mustOpen(t, dir, opts)
+	s.Put(a, res)
+	s.Put(b, res)
+	s.Put(c, res)
+	if _, ok := s.Get(a); !ok {
+		t.Fatal("warm get missed")
 	}
-	if n := countTmpFiles(t, dir); n != 0 {
-		t.Errorf("%d temp files survived reopen, want 0", n)
+
+	re := mustOpen(t, dir, opts)
+	re.Put(d, res)
+	if _, ok := re.Get(b); ok {
+		t.Error("b survived: the hit on a was lost in the crash")
+	}
+	for _, k := range []sweep.Key{a, c, d} {
+		if _, ok := re.Get(k); !ok {
+			t.Errorf("entry %s... evicted out of LRU order after the crash", k[:8])
+		}
 	}
 }
 

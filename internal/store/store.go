@@ -7,15 +7,16 @@
 //
 // Layout under the store directory:
 //
-//	index.json          LRU order and sizes (most recent first)
 //	objects/<key>.json  one result per entry, written atomically
 //
 // Entry files are written to a temporary file and renamed into place, so
 // a crash mid-write leaves only a stray tmp- file (removed on the next
-// Open), never a half-visible entry. Loading tolerates corruption: a
-// missing or unparsable index is rebuilt from the object files, and a
-// truncated or otherwise undecodable entry is dropped — skipped at open
-// when unindexed, or turned into a miss (and deleted) on first Get.
+// Open), never a half-visible entry. There is no index file: each
+// object's mtime is its recency stamp, set by every Put and every Get
+// hit, and Open rebuilds the LRU order by sorting the objects directory
+// on mtime. Recency is therefore as durable as the objects themselves,
+// and a crash loses none of it. A truncated or otherwise undecodable
+// entry is dropped: it turns into a miss, and is deleted, on first Get.
 //
 // The store is size-capped: when the object bytes exceed Options.MaxBytes
 // the least-recently-used entries are evicted. A Store satisfies
@@ -47,18 +48,7 @@ type Options struct {
 	// entries are evicted (never the entry just written, so a single
 	// oversized result is retained until a later Put displaces it).
 	MaxBytes int64
-	// FlushInterval debounces index.json persistence: the index is
-	// written this long after it first becomes dirty, and always on
-	// Close. 0 means DefaultFlushInterval; negative flushes only on
-	// Close. Entry files are always durable immediately — a crash
-	// between flushes loses at most LRU ordering, and load() re-adopts
-	// every committed object from the objects directory regardless.
-	FlushInterval time.Duration
 }
-
-// DefaultFlushInterval is the index debounce used when
-// Options.FlushInterval is zero.
-const DefaultFlushInterval = 500 * time.Millisecond
 
 // Stats counts store activity since Open.
 type Stats struct {
@@ -72,8 +62,8 @@ type Stats struct {
 	// IOErrors counts writes that failed; the store degrades to a smaller
 	// cache rather than failing the sweep.
 	IOErrors uint64 `json:"io_errors"`
-	// IndexWrites counts index.json persists. With debounced flushing
-	// this stays far below Puts on a hot sweep.
+	// Deprecated: the store keeps no index file, so IndexWrites is
+	// always 0. It remains for callers that still report it.
 	IndexWrites uint64 `json:"index_writes"`
 }
 
@@ -86,7 +76,6 @@ type entry struct {
 // Store is a disk-backed, LRU-evicting, content-addressed result store.
 // It is safe for concurrent use.
 type Store struct {
-	dir     string
 	objects string
 	opts    Options
 	// rename commits a finished temp file; os.Rename outside tests. The
@@ -97,26 +86,12 @@ type Store struct {
 	// released. Tests use it to prove concurrent hits overlap.
 	readHook func(sweep.Key)
 
-	mu           sync.Mutex
-	entries      map[sweep.Key]*list.Element
-	lru          *list.List // front = most recently used
-	total        int64
-	stats        Stats
-	dirty        bool // index order changed since last persist
-	flushPending bool // an index flush timer is armed
-	closed       bool
-	flush        time.Duration // resolved Options.FlushInterval
-}
-
-// indexFile is the on-disk schema of index.json.
-type indexFile struct {
-	Schema  int          `json:"schema"`
-	Entries []indexEntry `json:"entries"` // most recently used first
-}
-
-type indexEntry struct {
-	Key  string `json:"key"`
-	Size int64  `json:"size"`
+	mu      sync.Mutex
+	entries map[sweep.Key]*list.Element
+	lru     *list.List // front = most recently used
+	total   int64
+	stats   Stats
+	stamp   time.Time // last recency stamp issued (see nextStampLocked)
 }
 
 // entryFile is the on-disk schema of one objects/<key>.json file. The
@@ -130,16 +105,11 @@ type entryFile struct {
 // Open loads (or initializes) the store rooted at dir.
 func Open(dir string, opts Options) (*Store, error) {
 	s := &Store{
-		dir:     dir,
 		objects: filepath.Join(dir, "objects"),
 		opts:    opts,
 		rename:  os.Rename,
 		entries: make(map[sweep.Key]*list.Element),
 		lru:     list.New(),
-		flush:   opts.FlushInterval,
-	}
-	if s.flush == 0 {
-		s.flush = DefaultFlushInterval
 	}
 	if err := os.MkdirAll(s.objects, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -153,14 +123,20 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// load populates the in-memory index from index.json and the objects
-// directory, tolerating corruption in both.
+// load populates the LRU list from the objects directory, most recent
+// mtime first, ties broken by key. Entries are not decoded here: a
+// corrupt one becomes a miss, and is deleted, on its first Get.
 func (s *Store) load() error {
 	names, err := os.ReadDir(s.objects)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	onDisk := make(map[sweep.Key]int64, len(names))
+	type object struct {
+		key   sweep.Key
+		size  int64
+		mtime time.Time
+	}
+	objs := make([]object, 0, len(names))
 	for _, de := range names {
 		name := de.Name()
 		// A crash between CreateTemp and rename leaves a tmp- file;
@@ -177,59 +153,22 @@ func (s *Store) load() error {
 		if err != nil {
 			continue
 		}
-		onDisk[key] = info.Size()
-	}
-
-	// Adopt the index order where it is intact; entries whose file
-	// vanished are dropped, sizes are re-stated from disk.
-	var idx indexFile
-	if data, err := os.ReadFile(filepath.Join(s.dir, "index.json")); err == nil {
-		if json.Unmarshal(data, &idx) != nil || idx.Schema != 1 {
-			idx.Entries = nil // corrupt index: rebuild from files below
+		objs = append(objs, object{key, info.Size(), info.ModTime()})
+		// Later stamps start after the newest one on disk, so a clock
+		// that moved backwards cannot rank new activity behind old.
+		if info.ModTime().After(s.stamp) {
+			s.stamp = info.ModTime()
 		}
 	}
-	for _, ie := range idx.Entries {
-		key := sweep.Key(ie.Key)
-		size, ok := onDisk[key]
-		if !ok {
-			continue
+	sort.Slice(objs, func(i, j int) bool {
+		if !objs[i].mtime.Equal(objs[j].mtime) {
+			return objs[i].mtime.After(objs[j].mtime)
 		}
-		if _, dup := s.entries[key]; dup {
-			continue
-		}
-		s.entries[key] = s.lru.PushBack(&entry{key: key, size: size})
-		s.total += size
-		delete(onDisk, key)
-	}
-
-	// Files the index does not know about (crash before the index write,
-	// or a rebuilt index) are adopted after probing that they decode;
-	// truncated leftovers are deleted, not fatal. Adopted entries rank
-	// behind indexed ones, newest first among themselves.
-	orphans := make([]sweep.Key, 0, len(onDisk))
-	for key := range onDisk {
-		orphans = append(orphans, key)
-	}
-	sort.Slice(orphans, func(i, j int) bool {
-		mi, _ := os.Stat(s.path(orphans[i]))
-		mj, _ := os.Stat(s.path(orphans[j]))
-		if mi == nil || mj == nil {
-			return orphans[i] < orphans[j]
-		}
-		if !mi.ModTime().Equal(mj.ModTime()) {
-			return mi.ModTime().After(mj.ModTime())
-		}
-		return orphans[i] < orphans[j]
+		return objs[i].key < objs[j].key
 	})
-	for _, key := range orphans {
-		if _, err := s.read(key); err != nil {
-			s.drop(key)
-			s.stats.Corrupt++
-			continue
-		}
-		s.entries[key] = s.lru.PushBack(&entry{key: key, size: onDisk[key]})
-		s.total += onDisk[key]
-		s.dirty = true
+	for _, o := range objs {
+		s.entries[o.key] = s.lru.PushBack(&entry{key: o.key, size: o.size})
+		s.total += o.size
 	}
 	return nil
 }
@@ -284,15 +223,34 @@ func (s *Store) read(k sweep.Key) (sim.Result, error) {
 	return ef.Result, nil
 }
 
-// drop removes an entry's file and index state, if present.
+// drop removes an entry's file and in-memory state, if present.
 func (s *Store) drop(k sweep.Key) {
 	os.Remove(s.path(k))
 	if el, ok := s.entries[k]; ok {
 		s.total -= el.Value.(*entry).size
 		s.lru.Remove(el)
 		delete(s.entries, k)
-		s.dirty = true
 	}
+}
+
+// nextStampLocked returns a recency stamp later than every stamp issued
+// before it, and later than every mtime Open found on disk. The
+// monotonic clock reading is stripped, so the comparison is on the wall
+// time that lands in the file.
+func (s *Store) nextStampLocked() time.Time {
+	now := time.Now().Round(0)
+	if !now.After(s.stamp) {
+		now = s.stamp.Add(time.Nanosecond)
+	}
+	s.stamp = now
+	return now
+}
+
+// touch writes a recency stamp into k's object file, leaving its atime
+// alone. The error is dropped: a failure (the entry was evicted
+// meanwhile) costs only the entry's rank after a reopen.
+func (s *Store) touch(k sweep.Key, stamp time.Time) {
+	_ = os.Chtimes(s.path(k), time.Time{}, stamp)
 }
 
 // Get returns the stored result for a key. A corrupt entry counts as a
@@ -304,6 +262,7 @@ func (s *Store) drop(k sweep.Key) {
 // files are immutable once renamed into place (Put never rewrites an
 // existing key), which makes the unlocked read safe; the only racing
 // mutation is removal, handled by re-checking membership afterwards.
+// The recency stamp is written after s.mu is released too.
 func (s *Store) Get(k sweep.Key) (sim.Result, bool) {
 	s.mu.Lock()
 	if _, ok := s.entries[k]; !ok {
@@ -319,10 +278,9 @@ func (s *Store) Get(k sweep.Key) (sim.Result, bool) {
 	res, err := s.read(k)
 
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	el, present := s.entries[k]
 	if err != nil {
-		// Only a still-indexed entry is corruption; if a concurrent
+		// Only a still-resident entry is corruption; if a concurrent
 		// eviction removed the entry (and its file) mid-read, this is
 		// an ordinary miss.
 		if present {
@@ -330,16 +288,21 @@ func (s *Store) Get(k sweep.Key) (sim.Result, bool) {
 			s.stats.Corrupt++
 		}
 		s.stats.Misses++
+		s.mu.Unlock()
 		return sim.Result{}, false
 	}
+	var stamp time.Time
 	if present {
 		s.lru.MoveToFront(el)
-		s.dirty = true
-		s.scheduleFlushLocked()
+		stamp = s.nextStampLocked()
 	}
 	// The read succeeded against an immutable entry file, so the result
 	// is valid even if the entry was evicted while we read it.
 	s.stats.Hits++
+	s.mu.Unlock()
+	if present {
+		s.touch(k, stamp)
+	}
 	return res, true
 }
 
@@ -355,8 +318,8 @@ func (s *Store) Has(k sweep.Key) bool {
 // Put stores a result under its key, atomically (write to a temporary
 // file, then rename), evicting least-recently-used entries if the store
 // exceeds its size cap. Results are deterministic per key, so an existing
-// entry is only touched, never rewritten. Write failures degrade to a
-// cache miss later rather than failing the caller.
+// entry is only stamped as recent, never rewritten. Write failures
+// degrade to a cache miss later rather than failing the caller.
 func (s *Store) Put(k sweep.Key, res sim.Result) {
 	if !validKey(k) {
 		return
@@ -365,8 +328,7 @@ func (s *Store) Put(k sweep.Key, res sim.Result) {
 	defer s.mu.Unlock()
 	if el, ok := s.entries[k]; ok {
 		s.lru.MoveToFront(el)
-		s.dirty = true
-		s.scheduleFlushLocked()
+		s.touch(k, s.nextStampLocked())
 		return
 	}
 	data, err := json.Marshal(entryFile{Key: string(k), Result: res})
@@ -375,7 +337,7 @@ func (s *Store) Put(k sweep.Key, res sim.Result) {
 		return
 	}
 	data = append(data, '\n')
-	if err := s.writeAtomic(s.path(k), data); err != nil {
+	if err := s.writeAtomic(s.path(k), data, s.nextStampLocked()); err != nil {
 		s.stats.IOErrors++
 		return
 	}
@@ -383,48 +345,24 @@ func (s *Store) Put(k sweep.Key, res sim.Result) {
 	s.total += int64(len(data))
 	s.stats.Puts++
 	s.evictLocked(k)
-	// The entry file above is already durable; the index is only LRU
-	// order, so its persistence is debounced instead of rewritten per
-	// insert (which re-marshaled the full index — O(n²) bytes over an
-	// n-job sweep). A crash before the flush recovers every committed
-	// object through load()'s rebuild-from-objects path.
-	s.dirty = true
-	s.scheduleFlushLocked()
-}
-
-// scheduleFlushLocked arms a one-shot index flush FlushInterval from
-// now, unless one is already pending or the debounce is disabled.
-func (s *Store) scheduleFlushLocked() {
-	if s.flushPending || s.closed || s.flush < 0 {
-		return
-	}
-	s.flushPending = true
-	time.AfterFunc(s.flush, s.flushIndex)
-}
-
-// flushIndex is the timer callback behind scheduleFlushLocked.
-func (s *Store) flushIndex() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.flushPending = false
-	if s.closed || !s.dirty {
-		return
-	}
-	s.persistLocked()
 }
 
 // writeAtomic writes data to path via a tmp- file in the objects
 // directory plus rename, so readers never observe a partial entry. The
-// tmp file is fsynced before the rename: without it, a machine crash
-// shortly after the rename can leave the final name pointing at
-// zero-length or partial content, which a journaled coordinator would
-// then trust as a completed result on resume.
-func (s *Store) writeAtomic(path string, data []byte) error {
+// tmp file carries its recency stamp before it is fsynced and renamed:
+// without the fsync, a machine crash shortly after the rename can leave
+// the final name pointing at zero-length or partial content, which a
+// journaled coordinator would then trust as a completed result on
+// resume.
+func (s *Store) writeAtomic(path string, data []byte, stamp time.Time) error {
 	tmp, err := os.CreateTemp(s.objects, "tmp-*")
 	if err != nil {
 		return err
 	}
 	_, werr := tmp.Write(data)
+	if werr == nil {
+		werr = os.Chtimes(tmp.Name(), time.Time{}, stamp)
+	}
 	if werr == nil {
 		werr = tmp.Sync()
 	}
@@ -463,36 +401,12 @@ func (s *Store) evictLocked(keep sweep.Key) {
 	}
 }
 
-// persistLocked writes index.json atomically; failures are counted, not
-// fatal (the index rebuilds from object files on the next Open).
-func (s *Store) persistLocked() {
-	idx := indexFile{Schema: 1}
-	for el := s.lru.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*entry)
-		idx.Entries = append(idx.Entries, indexEntry{Key: string(e.key), Size: e.size})
-	}
-	data, err := json.MarshalIndent(idx, "", " ")
-	if err != nil {
-		s.stats.IOErrors++
-		return
-	}
-	if err := s.writeAtomic(filepath.Join(s.dir, "index.json"), append(data, '\n')); err != nil {
-		s.stats.IOErrors++
-		return
-	}
-	s.stats.IndexWrites++
-	s.dirty = false
-}
-
-// Close flushes a dirty index and disarms the debounce timer. The store
-// must not be used after Close.
+// Close reports whether any write failed since Open. Every entry and its
+// recency stamp are already on disk, so there is nothing to flush. The
+// store must not be used after Close.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.dirty {
-		s.persistLocked()
-	}
-	s.closed = true // a pending flushIndex becomes a no-op
 	if s.stats.IOErrors > 0 {
 		return fmt.Errorf("store: %d write errors (see Stats)", s.stats.IOErrors)
 	}

@@ -11,8 +11,9 @@ import (
 )
 
 // Default hedging policy: a second backend is tried once the first has
-// been silent this long, and a whole read-through gives up after the
-// budget (falling back to simulation, never failing the sweep).
+// been silent this long, and a whole read-through (or one write-behind
+// replication) gives up after the budget, falling back to simulation,
+// never failing the sweep.
 const (
 	DefaultHedgeAfter  = 50 * time.Millisecond
 	DefaultFetchBudget = 5 * time.Second
@@ -44,9 +45,6 @@ type TierConfig struct {
 	// HedgeAfter is how long the primary fetch may stay silent before
 	// the next backend is fired too; 0 means DefaultHedgeAfter.
 	HedgeAfter time.Duration
-	// FetchBudget bounds one whole read-through across all hedges;
-	// 0 means DefaultFetchBudget.
-	FetchBudget time.Duration
 	// Shards, when > 0 with several remotes, rendezvous-ranks the
 	// remotes per key so each key has a consistent primary.
 	Shards int
@@ -84,7 +82,6 @@ type Tiers struct {
 	local      *Store
 	remotes    []Tier
 	hedgeAfter time.Duration
-	budget     time.Duration
 	shards     int
 
 	mu    sync.Mutex
@@ -110,14 +107,10 @@ func NewTiers(cfg TierConfig) *Tiers {
 		local:      cfg.Local,
 		remotes:    cfg.Remotes,
 		hedgeAfter: cfg.HedgeAfter,
-		budget:     cfg.FetchBudget,
 		shards:     cfg.Shards,
 	}
 	if t.hedgeAfter <= 0 {
 		t.hedgeAfter = DefaultHedgeAfter
-	}
-	if t.budget <= 0 {
-		t.budget = DefaultFetchBudget
 	}
 	t.stats.Hits = make(map[string]uint64)
 	for _, ti := range cfg.Remotes {
@@ -130,9 +123,6 @@ func NewTiers(cfg TierConfig) *Tiers {
 	}
 	return t
 }
-
-// Local returns the local tier, or nil.
-func (t *Tiers) Local() *Store { return t.local }
 
 // Get implements sweep.Cache over the tier stack.
 func (t *Tiers) Get(k sweep.Key) (sim.Result, bool) {
@@ -178,7 +168,7 @@ type fetchReply struct {
 // canceled losers never leak a goroutine.
 func (t *Tiers) fetch(k sweep.Key) (sim.Result, int, bool) {
 	order := t.order(k)
-	ctx, cancel := context.WithTimeout(context.Background(), t.budget)
+	ctx, cancel := context.WithTimeout(context.Background(), DefaultFetchBudget)
 	defer cancel()
 	ch := make(chan fetchReply, len(order))
 	launched := 0
@@ -283,7 +273,7 @@ func (t *Tiers) writeBehind() {
 			if !ti.WriteThrough {
 				continue
 			}
-			ctx, cancel := context.WithTimeout(context.Background(), t.budget)
+			ctx, cancel := context.WithTimeout(context.Background(), DefaultFetchBudget)
 			if err := ti.Backend.Put(ctx, it.k, it.res); err != nil {
 				t.count(func(s *TierStats) { s.RemoteErrors++ })
 			}

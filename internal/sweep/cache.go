@@ -49,20 +49,6 @@ func (c *MemCache) Put(k Key, res sim.Result) {
 	c.m[k] = res
 }
 
-// Len returns the number of distinct results held.
-func (c *MemCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
-// Reset drops every entry.
-func (c *MemCache) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m = make(map[Key]sim.Result)
-}
-
 // tiered is a two-level cache: a fast front (typically a MemCache) over a
 // larger or persistent back (typically the disk store).
 type tiered struct {

@@ -233,23 +233,3 @@ func (r *Runner) CacheStats() CacheStats {
 	defer r.mu.Unlock()
 	return r.stats
 }
-
-// CacheLen returns the number of distinct results held, or -1 when the
-// configured Cache does not report a length.
-func (r *Runner) CacheLen() int {
-	if c, ok := r.cache.(interface{ Len() int }); ok {
-		return c.Len()
-	}
-	return -1
-}
-
-// ResetCache zeroes the statistics and, when the configured Cache
-// supports it (MemCache does), drops every cached result.
-func (r *Runner) ResetCache() {
-	if c, ok := r.cache.(interface{ Reset() }); ok {
-		c.Reset()
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.stats = CacheStats{}
-}

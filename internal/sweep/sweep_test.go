@@ -166,18 +166,6 @@ func TestCacheAccounting(t *testing.T) {
 	if st := r.CacheStats(); st.Misses != 3 || st.Hits != 7 {
 		t.Errorf("stats after repeat = %+v, want 3 misses / 7 hits", st)
 	}
-	if r.CacheLen() != 3 {
-		t.Errorf("cache holds %d entries, want 3", r.CacheLen())
-	}
-	// ResetCache forgets everything.
-	r.ResetCache()
-	if r.CacheLen() != 0 {
-		t.Error("reset left cache entries behind")
-	}
-	r.RunOutcomes(batch[:3], 4)
-	if got := sims.Load(); got != 6 {
-		t.Errorf("post-reset batch did not re-simulate (total %d)", got)
-	}
 }
 
 func TestDisableCache(t *testing.T) {
